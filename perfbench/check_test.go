@@ -196,3 +196,22 @@ func TestTrafficChecksCatchBrokenResults(t *testing.T) {
 		}
 	}
 }
+
+// TestInterquartileMean pins the latency statistic: the lowest and the
+// highest quarter of the values are dropped before averaging.
+func TestInterquartileMean(t *testing.T) {
+	for _, c := range []struct {
+		xs   []float64
+		want float64
+	}{
+		{nil, 0},
+		{[]float64{5}, 5},
+		{[]float64{3, 1, 2}, 2},
+		{[]float64{100, 1, 2, 3}, 2.5},
+		{[]float64{9, 1, 2, 3, 4, 5, 6, 1000}, 4.5},
+	} {
+		if got := interquartileMean(c.xs); got != c.want {
+			t.Errorf("interquartileMean(%v) = %v, want %v", c.xs, got, c.want)
+		}
+	}
+}

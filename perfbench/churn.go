@@ -1,8 +1,8 @@
 package main
 
-// The churn and churn-sharded workloads: the full epoch pipeline under a
-// seeded, connectivity-preserving link fail/join trace on the 8x8x8
-// torus, run closed-loop from the Apply call to fleet convergence.
+// The churn and churn-sharded workloads: the full epoch pipeline under
+// seeded, connectivity-preserving link flaps on the 8x8x8 torus, run
+// closed-loop from the Apply call to fleet convergence.
 
 import (
 	"context"
@@ -33,13 +33,11 @@ const (
 	// fleetTimeout bounds one wait for fleet convergence; a healthy
 	// in-process fleet converges in well under a second.
 	fleetTimeout = 30 * time.Second
+	// churnMinFlaps is the least number of flaps a run times, whatever
+	// --seconds says: a flap takes about two seconds with its checks, and
+	// fewer would leave the interquartile mean to a handful of them.
+	churnMinFlaps = 14
 )
-
-// churnSchedule fixes which events of each round of ten rejoin a failed
-// link ('j') and which fail a live one ('f'): three joins in ten, nuefm's
-// default join probability of 0.3 as a fixed share, so that every run
-// holds the same mix of the two event kinds. The seed picks the links.
-const churnSchedule = "ffjffjfffj"
 
 // churnTopology is the 512-switch torus, one terminal per switch.
 func churnTopology() *topology.Topology { return topology.Torus3D(8, 8, 8, 1, 1) }
@@ -53,7 +51,6 @@ type churnBench struct {
 	// for one seed.
 	shadow *fabric.State
 	rng    *rand.Rand
-	events int
 
 	mgr   *fabric.Manager
 	plane *shard.Plane
@@ -197,19 +194,30 @@ func epochOf(s *fabric.Snapshot) distrib.Epoch {
 	return distrib.Epoch{Seq: s.Epoch, Net: s.Net, Result: s.Result}
 }
 
-// step applies the next trace event and waits for the fleet to commit it.
+// step flaps one seeded link: it fails the link and, once the fleet has
+// committed that epoch, brings it back. The operation's time is the two
+// epochs' times, each from the Apply call until the fleet has committed
+// it; both epochs are checked outside the clock.
 func (b *churnBench) step(tr *tracer) (time.Duration, error, error) {
-	pJoin := 0.0
-	if churnSchedule[b.events%len(churnSchedule)] == 'j' {
-		pJoin = 1
-	}
-	b.events++
-	ev, ok := b.shadow.RandomEvent(b.rng, pJoin)
+	fail, ok := b.shadow.RandomEvent(b.rng, 0)
 	if !ok {
-		return 0, errors.New("no connectivity-preserving churn event left"), nil
+		return 0, errors.New("no connectivity-preserving link failure left"), nil
 	}
-	b.shadow.Mutate(ev)
+	var total time.Duration
+	for _, ev := range []fabric.Event{fail, {Kind: fabric.LinkJoin, Link: fail.Link}} {
+		d, opErr, checkErr := b.epoch(tr, ev)
+		total += d
+		if opErr != nil || checkErr != nil {
+			return total, opErr, checkErr
+		}
+	}
+	return total, nil, nil
+}
 
+// epoch applies one event, waits for the fleet to commit its epoch and
+// returns that wall time; it then checks the epoch outside the clock.
+func (b *churnBench) epoch(tr *tracer, ev fabric.Event) (time.Duration, error, error) {
+	b.shadow.Mutate(ev)
 	clk := tr.startClock()
 	b.opStart = clk.start
 	var rep *fabric.EventReport

@@ -52,14 +52,15 @@ type workloadSpec struct {
 	// has the same make-up of operations.
 	round int
 	// minRounds is the least number of rounds a run makes, whatever
-	// --seconds says; a median over fewer operations would not be steady.
+	// --seconds says; an interquartile mean over fewer operations would
+	// not be steady.
 	minRounds int
 	setup     func(cfg config, tr *tracer) (instance, error)
 }
 
 var workloads = []workloadSpec{
-	{name: "churn", warmup: 1, round: len(churnSchedule), minRounds: 4, setup: func(cfg config, tr *tracer) (instance, error) { return newChurn(cfg, tr, false) }},
-	{name: "churn-sharded", warmup: 1, round: len(churnSchedule), minRounds: 4, setup: func(cfg config, tr *tracer) (instance, error) { return newChurn(cfg, tr, true) }},
+	{name: "churn", warmup: 1, round: 1, minRounds: churnMinFlaps, setup: func(cfg config, tr *tracer) (instance, error) { return newChurn(cfg, tr, false) }},
+	{name: "churn-sharded", warmup: 1, round: 1, minRounds: churnMinFlaps, setup: func(cfg config, tr *tracer) (instance, error) { return newChurn(cfg, tr, true) }},
 	{name: "route", warmup: 2, round: 1, minRounds: 1, setup: newRoute},
 	{name: "traffic", warmup: 2, round: trafficBatches, minRounds: 1, setup: newTraffic},
 }
@@ -170,8 +171,8 @@ func measure(cfg config, spec *workloadSpec, stdout, stderr io.Writer) (*result,
 	defer inst.close()
 
 	res := &result{Correct: true, Metrics: map[string]metric{}}
-	var all, traced, plain []float64
-	var cpu []float64
+	// wall and cpu hold each operation's wall and process CPU time (ms).
+	var wall, cpu, traced, plain []float64
 	var busy time.Duration
 	deadline := time.Now().Add(time.Duration(cfg.seconds * float64(time.Second)))
 	// In traced mode every other round runs untraced, so the tracing
@@ -184,7 +185,6 @@ func measure(cfg config, spec *workloadSpec, stdout, stderr io.Writer) (*result,
 		on := cfg.trace && (op/spec.round)%2 == 0
 		tr.beginOp(op, on)
 		d, opErr, checkErr := inst.step(tr)
-		cpu = append(cpu, tr.opCPU().Seconds()*1e3)
 		res.Attempted++
 		if opErr != nil {
 			res.Failed++
@@ -199,25 +199,27 @@ func measure(cfg config, spec *workloadSpec, stdout, stderr io.Writer) (*result,
 		// Collect the checks' garbage outside the clock, so it is not
 		// charged to the next operation.
 		runtime.GC()
-		ms := float64(d) / 1e6
-		all = append(all, ms)
+		cpuMs := tr.opCPU().Seconds() * 1e3
+		wall = append(wall, float64(d)/1e6)
+		cpu = append(cpu, cpuMs)
 		busy += d
 		if on {
-			traced = append(traced, ms)
+			traced = append(traced, cpuMs)
 		} else {
-			plain = append(plain, ms)
+			plain = append(plain, cpuMs)
 		}
 	}
-	if len(all) == 0 {
+	if len(cpu) == 0 {
 		return res, nil
 	}
 
-	fmt.Fprintf(stdout, "# %d operations; op wall ms: %s\n", len(all), tails(all))
-	fmt.Fprintf(stdout, "# process cpu ms per operation (median, diagnostic): %.2f\n", median(cpu))
+	fmt.Fprintf(stdout, "# %d operations; op cpu ms: interquartile mean %.3f, %s\n", len(cpu), interquartileMean(cpu), tails(cpu))
+	fmt.Fprintf(stdout, "# op wall ms (diagnostic): interquartile mean %.3f, %s; %.4g operations per wall second\n",
+		interquartileMean(wall), tails(wall), float64(len(wall))/busy.Seconds())
 	fmt.Fprintf(stdout, "# set-up rounds (s): %s\n", floats(setups))
 	if !cfg.trace {
-		res.Metrics["op_p50_ms"] = metric{median(all), "ms"}
-		res.Metrics["ops_per_s"] = metric{float64(len(all)) / busy.Seconds(), "1/s"}
+		res.Metrics["op_cpu_ms"] = metric{interquartileMean(cpu), "ms"}
+		res.Metrics["ops_per_cpu_s"] = metric{float64(len(cpu)) / (sum(cpu) / 1e3), "1/s"}
 		res.Metrics["setup_s"] = metric{median(setups), "s"}
 		res.Metrics["peak_rss_mb"] = metric{peakRSSMB(), "MB"}
 		return res, nil
@@ -227,11 +229,11 @@ func measure(cfg config, spec *workloadSpec, stdout, stderr io.Writer) (*result,
 	}
 	overhead := 0.0
 	if len(traced) > 0 && len(plain) > 0 {
-		overhead = median(traced) - median(plain)
+		overhead = interquartileMean(traced) - interquartileMean(plain)
 	}
 	res.Metrics["trace.overhead_ms"] = metric{overhead, "ms"}
-	fmt.Fprintf(stdout, "# traced op_p50_ms %.3f (n=%d), untraced op_p50_ms %.3f (n=%d)\n",
-		median(traced), len(traced), median(plain), len(plain))
+	fmt.Fprintf(stdout, "# traced op_cpu_ms %.3f (n=%d), untraced op_cpu_ms %.3f (n=%d)\n",
+		interquartileMean(traced), len(traced), interquartileMean(plain), len(plain))
 	path, err := tr.write(cfg)
 	if err != nil {
 		return nil, err
@@ -242,6 +244,27 @@ func measure(cfg config, spec *workloadSpec, stdout, stderr io.Writer) (*result,
 
 // median returns the median of xs (0 for none).
 func median(xs []float64) float64 { return quantile(xs, 0.5) }
+
+// interquartileMean returns the mean of the middle half of xs: the
+// values left once the lowest and the highest quarter are dropped.
+func interquartileMean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	q := len(s) / 4
+	return sum(s[q:len(s)-q]) / float64(len(s)-2*q)
+}
+
+// sum returns the sum of xs.
+func sum(xs []float64) float64 {
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
 
 // quantile returns the q-quantile of xs by linear interpolation between
 // closest ranks.

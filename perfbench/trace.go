@@ -138,13 +138,14 @@ func (t *tracer) untraced() {
 func (t *tracer) beginOp(op int, on bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.on, t.op, t.root = on, op, -1
+	t.on, t.op, t.root, t.cpu = on, op, -1, 0
 	if on {
 		t.ops = append(t.ops, op)
 	}
 }
 
-// clock brackets the timed part of one operation.
+// clock brackets one timed part of an operation; an operation may have
+// several (a churn flap times its two epochs and not the checks between).
 type clock struct {
 	start time.Time
 	cpu   time.Duration
@@ -153,28 +154,31 @@ type clock struct {
 // startClock starts timing the current operation.
 func (t *tracer) startClock() clock { return clock{time.Now(), processCPU()} }
 
-// stopClock ends the timed part of the current operation, records it as
-// the operation's root span when tracing, and returns its wall time. The
-// process CPU time spent meanwhile is kept for opCPU.
+// stopClock ends one timed part of the current operation, records it as
+// a root span of the operation when tracing, and returns its wall time.
+// The process CPU time spent meanwhile is added up for opCPU.
 func (t *tracer) stopClock(c clock) time.Duration {
 	end := time.Now()
 	cpu := processCPU() - c.cpu
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.cpu = cpu
+	t.cpu += cpu
 	if t.on {
 		t.spans = append(t.spans, span{Name: "op", Start: int64(c.start.Sub(t.origin)), End: int64(end.Sub(t.origin)), Parent: -1, Op: t.op})
 		t.root = len(t.spans) - 1
-		// Spans the program's hooks recorded during the operation, before
-		// the root existed, are re-parented now.
-		for i := t.root - 1; i >= 0 && t.spans[i].Op == t.op; i-- {
-			t.spans[i].Parent = t.root
+		// Spans the program's hooks recorded during this timed part,
+		// before its root existed, are re-parented now.
+		for i := t.root - 1; i >= 0 && t.spans[i].Op == t.op && t.spans[i].Name != "op"; i-- {
+			if t.spans[i].Start >= t.spans[t.root].Start {
+				t.spans[i].Parent = t.root
+			}
 		}
 	}
 	return end.Sub(c.start)
 }
 
-// opCPU returns the process CPU time of the last timed operation.
+// opCPU returns the process CPU time of the current operation's timed
+// parts.
 func (t *tracer) opCPU() time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
